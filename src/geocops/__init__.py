@@ -26,6 +26,7 @@ from .geograph import (
     GraphMetrics,
     PointGridIndex,
     PointSet,
+    bfs,
     bfs_distances,
     build_graph,
     degree_girth_lower_bound,

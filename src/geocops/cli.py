@@ -126,7 +126,7 @@ def _make_cop_policy(name, g, args, horizon):
     if name == "patrol":
         from .geograph import shortest_path, graph_metrics, bfs_distances
         import numpy as np
-        # patrol a長 shortest path: BFS double sweep for a far pair
+        # patrol a long shortest path: BFS double sweep for a far pair
         d0 = bfs_distances(g, [0])
         u = int(np.argmax(d0))
         du = bfs_distances(g, [u])
@@ -356,7 +356,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # bad input: a missing file, or a value the library rejects
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -2,8 +2,10 @@
 
 Adjacency follows the closed-ball rule ||x_i - x_j|| <= r (tolerance-inflated
 by 1e-9), built through a grid-bucket index with cell size r so construction
-is O(n + edges) expected.  Also provides shortest paths, diameter/girth/degree
-metrics, the degree-girth lower bound on the cop number, and CSV/JSON io.
+is O(n + edges) expected.  One level-synchronous BFS (``bfs``) serves shortest
+paths, distances and the strategies' masked and edge-filtered searches.  Also
+provides diameter/girth/degree metrics, the degree-girth lower bound on the
+cop number, and CSV/JSON io.
 """
 
 from __future__ import annotations
@@ -151,15 +153,10 @@ class Graph:
         return int(self.indices.size // 2)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.append((u, int(v)))
-        return out
-
-    def neighbor_lists(self) -> list[np.ndarray]:
-        return [self.neighbors(v) for v in range(self.n)]
+        """Each edge once as (u, v) with u < v, in CSR order."""
+        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        keep = src < self.indices
+        return list(zip(src[keep].tolist(), self.indices[keep].tolist()))
 
     def to_scipy(self) -> csr_matrix:
         data = np.ones(self.indices.size, dtype=np.int8)
@@ -242,6 +239,51 @@ def build_graph(ps: PointSet, r: float, tol: float = DEFAULT_TOL) -> GeometricGr
     return GeometricGraph(ps, r, indptr, dst.astype(np.int32), grid)
 
 
+def bfs(g: Graph, sources, mask=None, edge_ok=None) -> tuple[np.ndarray, np.ndarray]:
+    """Level-synchronous multi-source BFS returning (dist, parent).
+
+    Unreachable vertices get -1 in both arrays; sources get distance 0 and
+    are their own parents.  With a boolean ``mask``, only masked vertices are
+    entered (sources are always expanded).  ``edge_ok(src, dst)`` narrows the
+    edges further: given arrays of candidate edges src[i]-dst[i] (dst
+    unvisited and inside the mask), it returns a boolean array marking the
+    usable ones.  Each vertex keeps its lowest-index parent in the previous
+    level, so paths read off ``parent`` are deterministic.
+    """
+    dist = np.full(g.n, -1, dtype=np.int64)
+    parent = np.full(g.n, g.n, dtype=np.int64)  # g.n: not reached (yet)
+    frontier = np.unique(np.asarray(list(sources), dtype=np.int64))
+    dist[frontier] = 0
+    parent[frontier] = frontier
+    frontier = frontier.astype(g.indices.dtype)
+    unseen = dist < 0
+    if mask is not None:
+        unseen &= mask
+    d = 0
+    while frontier.size:
+        d += 1
+        starts = g.indptr[frontier]
+        counts = g.indptr[frontier + 1] - starts
+        # CSR position of every neighbour: its slice start plus its rank in it
+        pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        pos += np.arange(pos.size)
+        dst = g.indices[pos]
+        del pos
+        keep = np.flatnonzero(unseen[dst])
+        dst = dst[keep]
+        src = np.repeat(frontier, counts)[keep].astype(np.int64)
+        if edge_ok is not None and dst.size:
+            ok = edge_ok(src, dst)
+            src, dst = src[ok], dst[ok]
+        np.minimum.at(parent, dst, src)
+        first = parent[dst] == src  # one edge per new vertex: its lowest parent's
+        frontier = dst[first]
+        dist[frontier] = d
+        unseen[frontier] = False
+    parent[dist < 0] = -1
+    return dist, parent
+
+
 def shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
     """BFS shortest path with lowest-index-predecessor tie-break.
 
@@ -249,25 +291,8 @@ def shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError("shortest_path: vertex out of range")
-    if u == v:
-        return [u]
-    parent = np.full(g.n, -1, dtype=np.int64)
-    parent[u] = u
-    frontier = [u]
-    found = False
-    while frontier and not found:
-        nxt = []
-        for a in frontier:  # ascending order => lowest-index predecessor wins
-            for b in g.neighbors(a):
-                b = int(b)
-                if parent[b] < 0:
-                    parent[b] = a
-                    if b == v:
-                        found = True
-                    nxt.append(b)
-        nxt.sort()
-        frontier = nxt
-    if not found:
+    dist, parent = bfs(g, [u])
+    if dist[v] < 0:
         return None
     path = [v]
     while path[-1] != u:
@@ -278,26 +303,16 @@ def shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
 
 def bfs_distances(g: Graph, sources) -> np.ndarray:
     """Multi-source BFS; -1 marks unreachable vertices."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    frontier = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if frontier.size == 0:
-        return dist
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        d += 1
-        parts = [g.indices[g.indptr[v]:g.indptr[v + 1]] for v in frontier]
-        nxt = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-        nxt = nxt[dist[nxt] < 0]
-        dist[nxt] = d
-        frontier = nxt
-    return dist
+    return bfs(g, sources)[0]
 
 
 def girth(g: Graph) -> float:
     """Length of a shortest cycle; inf for forests.
 
-    Per-vertex BFS, pruned to depth (best-1)//2 once a cycle is known.
+    Per-vertex BFS, pruned to depth (best-1)//2 once a cycle is known.  This
+    is its own search rather than a use of ``bfs`` because of that pruning:
+    on the 1440-vertex annular construction, one unpruned ``bfs`` from every
+    root took 15 s against this search's 0.04 s (2-core Xeon VM).
     """
     best = INFINITE
     dist = np.empty(g.n, dtype=np.int64)
@@ -384,17 +399,28 @@ def write_points_csv(ps: PointSet, path, header: bool = True,
 
 
 def read_points_csv(path) -> PointSet:
+    """Read "x,y" rows; a header row is skipped, any other bad row raises.
+
+    Only the first row that is neither blank nor a ``#`` comment may be a
+    header.  Any later row that is not two numbers raises ``ValueError``
+    naming its line number.
+    """
     rows = []
+    first = True
     with open(path, newline="") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
+            header_allowed, first = first, False
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                x, y = map(float, line.split(","))  # wrong column count too
             except ValueError:
-                continue  # header line
+                if header_allowed:
+                    continue
+                raise ValueError(f"{path}:{lineno}: expected 'x,y', "
+                                 f"got {line!r}") from None
+            rows.append((x, y))
     return PointSet(np.asarray(rows, dtype=np.float64).reshape(-1, 2))
 
 
@@ -402,7 +428,7 @@ def graph_to_json(g: Graph, extra: dict | None = None) -> dict:
     """Schema {n, r, edges:[[i,j],...]}, plus points for geometric graphs."""
     doc: dict = {"format_version": 1, "n": g.n,
                  "r": getattr(g, "r", None),
-                 "edges": [[int(a), int(b)] for a, b in g.edges()]}
+                 "edges": [[a, b] for a, b in g.edges()]}
     if isinstance(g, GeometricGraph):
         doc["points"] = [[float(x), float(y)] for x, y in g.pointset.coords]
     if extra:

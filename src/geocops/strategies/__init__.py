@@ -35,15 +35,11 @@ from .robbers import (
     SolverRobber,
     StationaryCops,
     StationaryRobber,
-    greedy_max_min_dist,
-    random_walk,
-    solver_optimal,
 )
 from .twocop import (
     DaggerViolationError,
     StrategyConstants,
     TwoCopPolicy,
-    two_cop_policy,
 )
 
 __all__ = [
@@ -54,8 +50,7 @@ __all__ = [
     "SolverRobber", "StationaryCops", "StationaryRobber", "StrategyConstants",
     "T4_MIN_GAIN_FACTOR", "Trace", "TraceEvent", "TwoCopPolicy",
     "classify_move", "crosses_path", "displacement_polar",
-    "greedy_max_min_dist", "is_shortest_path", "nine_cop_policy",
-    "normalize_theta", "path_control_cop", "patrol_triple",
-    "potential_audit", "random_walk", "replay_verify", "run_game",
-    "solver_optimal", "territory", "two_cop_policy",
+    "is_shortest_path", "nine_cop_policy", "normalize_theta",
+    "path_control_cop", "patrol_triple", "potential_audit", "replay_verify",
+    "run_game", "territory",
 ]

@@ -34,17 +34,21 @@ from functools import partial
 
 import numpy as np
 
-from ..geograph import GeometricGraph
+from ..geograph import GeometricGraph, bfs
 from .engine import CopPolicy, GameView, PolicyError
-from .pathcontrol import _PathTracker, _masked_bfs
+from .pathcontrol import _PathTracker
 
 
 def _segments_cross_batch(p, q, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    """Vectorized closed-segment intersection of pq against rows of (a_i, b_i)."""
-    px, py = p
-    qx, qy = q
-    ax, ay = seg_a[:, 0], seg_a[:, 1]
-    bx, by = seg_b[:, 0], seg_b[:, 1]
+    """Closed-segment intersection of p-q against a-b, broadcast over leading axes.
+
+    Each argument holds points along its last axis (x, y); e.g. p, q of shape
+    (E, 1, 2) against seg_a, seg_b of shape (S, 2) give an (E, S) result.
+    """
+    px, py = p[..., 0], p[..., 1]
+    qx, qy = q[..., 0], q[..., 1]
+    ax, ay = seg_a[..., 0], seg_a[..., 1]
+    bx, by = seg_b[..., 0], seg_b[..., 1]
     d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
     d2 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
     d3 = (qx - px) * (ay - py) - (qy - py) * (ax - px)
@@ -77,61 +81,46 @@ class _Blockers:
         for path in paths:
             self.blocked[list(path)] = True
             ends.extend(zip(path, path[1:]))
-        self.terminals = frozenset(int(t) for t in terminals)
-        self.blocked[list(self.terminals)] = False
+        self.terminals = np.unique(np.asarray(terminals, dtype=np.int64))
+        self.blocked[self.terminals] = False
         self.ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
         coords = g.pointset.coords
         self.seg_a = coords[self.ends[:, 0]].astype(np.float64)
         self.seg_b = coords[self.ends[:, 1]].astype(np.float64)
 
-    def _meets_only_at(self, g, t: int, other: int) -> np.ndarray:
-        """Rows that end at t and share no point but t with segment t-other."""
+    def _meets_only_at(self, g, t: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """(edges, segments): segment ends at t[i], shares only t[i] with t[i]-other[i]."""
         coords = g.pointset.coords
-        at_t = self.ends == t
-        far = np.where(at_t[:, 0], self.ends[:, 1], self.ends[:, 0])
-        d = coords[other] - coords[t]
-        e = coords[far] - coords[t]
-        cross = d[0] * e[:, 1] - d[1] * e[:, 0]
-        dot = d[0] * e[:, 0] + d[1] * e[:, 1]
-        return at_t.any(axis=1) & ((cross != 0) | (dot <= 0))
+        at_t = self.ends[None, :, :] == t[:, None, None]
+        far = np.where(at_t[..., 0], self.ends[:, 1], self.ends[:, 0])
+        d = (coords[other] - coords[t])[:, None, :]
+        e = coords[far] - coords[t][:, None, :]
+        cross = d[..., 0] * e[..., 1] - d[..., 1] * e[..., 0]
+        dot = d[..., 0] * e[..., 0] + d[..., 1] * e[..., 1]
+        return at_t.any(axis=2) & ((cross != 0) | (dot <= 0))
 
-    def edge_allowed(self, g, a, b) -> np.ndarray:
-        """Mask over neighbor array b: usable edges from vertex a."""
-        ok = ~self.blocked[b]
-        if self.seg_a.shape[0] and ok.any():
-            pa = g.pointset.coords[a]
-            idx = np.flatnonzero(ok)
-            for j in idx:
-                bj = int(b[j])
-                hit = _segments_cross_batch(pa, g.pointset.coords[bj],
-                                            self.seg_a, self.seg_b)
-                for t, other in ((a, bj), (bj, a)):
-                    if t in self.terminals:
-                        hit &= ~self._meets_only_at(g, t, other)
-                if hit.any():
-                    ok[j] = False
+    def edge_allowed(self, g, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Mask over the edges src[i]-dst[i]: the ones the robber can use."""
+        ok = ~self.blocked[dst]
+        rows = np.flatnonzero(ok)
+        if not (self.seg_a.shape[0] and rows.size):
+            return ok
+        coords = g.pointset.coords
+        s, t = src[rows], dst[rows]
+        hit = _segments_cross_batch(coords[s][:, None, :], coords[t][:, None, :],
+                                    self.seg_a, self.seg_b)
+        for end, other in ((s, t), (t, s)):
+            at = np.flatnonzero(np.isin(end, self.terminals))
+            if at.size:
+                hit[at] &= ~self._meets_only_at(g, end[at], other[at])
+        ok[rows] = ~hit.any(axis=1)
         return ok
 
 
 def territory(g: GeometricGraph, robber: int, paths) -> np.ndarray:
     """Vertices the robber can reach without touching or crossing the paths."""
     blockers = _Blockers(g, paths)
-    mask = np.zeros(g.n, dtype=bool)
-    mask[robber] = True
-    frontier = [robber]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            nb = g.neighbors(a)
-            nb = nb[~mask[nb]]
-            if nb.size == 0:
-                continue
-            ok = blockers.edge_allowed(g, a, nb)
-            for b in nb[ok]:
-                mask[b] = True
-                nxt.append(int(b))
-        frontier = nxt
-    return mask
+    return bfs(g, [robber], edge_ok=partial(blockers.edge_allowed, g))[0] >= 0
 
 
 class _Unit:
@@ -182,9 +171,9 @@ class NineCopPolicy(CopPolicy):
 
     def _first_path(self, robber: int) -> list[int]:
         # far-apart terminals by BFS double sweep; all later chords reuse them
-        d0, _ = _masked_bfs(self.g, [0])
+        d0, _ = bfs(self.g, [0])
         u = int(np.argmax(d0))
-        du, pu = _masked_bfs(self.g, [u])
+        du, pu = bfs(self.g, [u])
         v = int(np.argmax(du))
         self.endpoints = (u, v)
         return self._path_from_parents(pu, u, v)
@@ -200,14 +189,14 @@ class NineCopPolicy(CopPolicy):
     def _chord_path(self, mask2: np.ndarray, edge_ok) -> list[int] | None:
         """Shortest u-v path in the chord graph, with interior in the territory."""
         u, v = self.endpoints
-        dist, parent = _masked_bfs(self.g, [u], mask2, edge_ok)
+        dist, parent = bfs(self.g, [u], mask2, edge_ok)
         if dist[v] < 2:  # unreachable through the territory, or no interior
             return None
         return self._path_from_parents(parent, u, v)
 
     def _chase_path(self, robber: int, mask: np.ndarray) -> list[int]:
         """Endgame: shortest path from the robber to his farthest safe vertex."""
-        dist, parent = _masked_bfs(self.g, [robber], mask)
+        dist, parent = bfs(self.g, [robber], mask)
         dist_in = np.where(mask, dist, -1)
         far = int(np.argmax(dist_in))
         if dist_in[far] <= 0:

@@ -13,59 +13,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geograph import Graph, GeometricGraph
+from ..geograph import Graph, GeometricGraph, bfs
 from ..geometry import Segment, segments_intersect
 from .engine import CopPolicy, GameView
 
 
-def _masked_bfs(g: Graph, sources, mask=None,
-                edge_ok=None) -> tuple[np.ndarray, np.ndarray]:
-    """Level BFS returning (dist, parent); lowest-index parents, -1 unreachable.
-
-    With a boolean mask, edges only run between masked vertices (sources are
-    always expanded).  ``edge_ok(a, nb)`` narrows the edges further: given a
-    vertex and an array of its unvisited neighbours inside the mask, it
-    returns a boolean array marking the usable edges.
-    """
-    dist = np.full(g.n, -1, dtype=np.int64)
-    parent = np.full(g.n, -1, dtype=np.int64)
-    frontier = sorted(set(int(s) for s in sources))
-    for s in frontier:
-        dist[s] = 0
-        parent[s] = s
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for a in frontier:
-            nb = g.neighbors(a)
-            if edge_ok is not None:
-                nb = nb[dist[nb] < 0]
-                if mask is not None:
-                    nb = nb[mask[nb]]
-                nb = nb[edge_ok(a, nb)]
-            for b in nb:
-                b = int(b)
-                if dist[b] >= 0:
-                    continue
-                if mask is not None and not mask[b]:
-                    continue
-                dist[b] = d
-                parent[b] = a
-                nxt.append(b)
-        nxt.sort()
-        frontier = nxt
-    return dist, parent
+def _is_shortest_from(g: Graph, path, dist_start: np.ndarray, edge_ok=None) -> bool:
+    """Is `path` a walk along usable edges whose length is dist_start[end]?"""
+    src, dst = np.asarray(path[:-1]), np.asarray(path[1:])
+    if not all(g.adjacent(a, b) for a, b in zip(src, dst)):
+        return False
+    if edge_ok is not None and src.size and not edge_ok(src, dst).all():
+        return False
+    return dist_start[path[-1]] == len(path) - 1
 
 
 def is_shortest_path(g: Graph, path, mask=None, edge_ok=None) -> bool:
-    for a, b in zip(path, path[1:]):
-        if not g.adjacent(a, b):
-            return False
-        if edge_ok is not None and not edge_ok(a, np.array([b])).all():
-            return False
-    dist, _ = _masked_bfs(g, [path[0]], mask, edge_ok)
-    return dist[path[-1]] == len(path) - 1
+    """Is `path` shortest in g, restricted to `mask` and `edge_ok` (see ``bfs``)?"""
+    return _is_shortest_from(g, path, bfs(g, [path[0]], mask, edge_ok)[0], edge_ok)
 
 
 def crosses_path(g: GeometricGraph, v_from: int, v_to: int, path) -> bool:
@@ -87,16 +52,16 @@ class _PathTracker:
     def __init__(self, g: Graph, path, n_cops: int = 3, mask=None, edge_ok=None):
         if not path:
             raise ValueError("empty path")
-        if not is_shortest_path(g, path, mask, edge_ok):
-            raise ValueError("path is not a shortest path (control needs isometry)")
         self.g = g
         self.path = list(int(v) for v in path)
+        # the shadow is measured in the graph the path is shortest in
+        self.dist_start, _ = bfs(g, [self.path[0]], mask, edge_ok)
+        if not _is_shortest_from(g, self.path, self.dist_start, edge_ok):
+            raise ValueError("path is not a shortest path (control needs isometry)")
         self.n_cops = n_cops
         self.s_len = len(self.path) - 1
         self.index_of = {v: i for i, v in enumerate(self.path)}
-        # the shadow is measured in the graph the path is shortest in
-        self.dist_start, _ = _masked_bfs(g, [self.path[0]], mask, edge_ok)
-        _, self.route_parent = _masked_bfs(g, self.path)  # over the full graph
+        _, self.route_parent = bfs(g, self.path)  # over the full graph
         self.center_idx: int | None = None
         self.last_shadow = 0
         self.control_round: int | None = None

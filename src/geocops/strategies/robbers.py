@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import numpy as np
 
 from ..geograph import Graph, bfs_distances
 from ..solver import SolveTable
-from .engine import CopPolicy, GameView, RobberPolicy
+from .engine import CopPolicy, GameView, PolicyError, RobberPolicy
 
 _UNREACHABLE = np.iinfo(np.int64).max
 
@@ -129,17 +130,18 @@ class SolverCops(CopPolicy):
         return list(cops)
 
     def move(self, g, view: GameView, rng):
-        return list(self.table.cop_move(view.robber, tuple(sorted(view.cops))))
+        """The table's move, as a multiset, matched to the cops it moves.
 
-
-def random_walk(seed=None) -> RandomWalkRobber:
-    # seed is carried by the engine rng; kept for signature symmetry
-    return RandomWalkRobber()
-
-
-def greedy_max_min_dist() -> GreedyRobber:
-    return GreedyRobber()
-
-
-def solver_optimal(table: SolveTable) -> SolverRobber:
-    return SolverRobber(table)
+        The table stores cop positions as sorted multisets, but each cop may
+        only stay or step to a neighbour, so the multiset is assigned to the
+        cops by the first permutation that gives every cop a target in its
+        closed neighbourhood.
+        """
+        target = self.table.cop_move(view.robber, tuple(sorted(view.cops)))
+        for order in permutations(target):
+            if all(new == old or g.adjacent(old, new)
+                   for old, new in zip(view.cops, order)):
+                return list(order)
+        raise PolicyError(self.name, view.round_index,
+                          f"table move {list(target)} is not reachable "
+                          f"from cops {view.cops}")

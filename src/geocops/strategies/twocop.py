@@ -185,7 +185,3 @@ class TwoCopPolicy(CopPolicy):
             self.target_log.append((view.round_index, i, y, v))
             out.append(v)
         return out
-
-
-def two_cop_policy(g: GeometricGraph, constants: StrategyConstants) -> TwoCopPolicy:
-    return TwoCopPolicy(g, constants)

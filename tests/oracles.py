@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: circle intersections
 come from 1-d root finding, lens areas from Monte Carlo membership counting,
 adjacency from brute-force distance matrices, girth from edge-deletion BFS,
-and game values from a depth-bounded forward search.
+BFS from a plain per-vertex loop, and game values from a depth-bounded
+forward search.
 """
 
 from __future__ import annotations
@@ -96,6 +97,36 @@ def brute_girth(n, edges):
         adj[a].add(b)
         adj[b].add(a)
     return best
+
+
+def bfs_reference(g, sources, mask=None, edge_ok=None):
+    """(dist, parent) by a per-vertex loop: lowest-index parents, -1 unreachable.
+
+    Sources are always expanded; other vertices are entered only inside the
+    boolean ``mask``, and only along edges a-b with ``edge_ok([a], [b])``.
+    """
+    dist = np.full(g.n, -1, dtype=np.int64)
+    parent = np.full(g.n, -1, dtype=np.int64)
+    frontier = sorted(set(int(s) for s in sources))
+    for s in frontier:
+        dist[s] = 0
+        parent[s] = s
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for a in frontier:  # ascending, so the first visitor is the lowest parent
+            for b in g.indices[g.indptr[a]:g.indptr[a + 1]]:
+                b = int(b)
+                if dist[b] >= 0 or (mask is not None and not mask[b]):
+                    continue
+                if edge_ok is not None and not edge_ok(np.array([a]), np.array([b]))[0]:
+                    continue
+                dist[b] = d
+                parent[b] = a
+                nxt.append(b)
+        frontier = sorted(nxt)
+    return dist, parent
 
 
 def forward_game_value(adjacency, k, max_depth):

@@ -93,6 +93,20 @@ class TestErrors:
     def test_center_dismantle_needs_geometry(self, petersen_file):
         assert run(["center-dismantle", "--input", petersen_file]) == 2
 
+    def test_library_value_error_is_config_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--n", "10", "--seed", "1", "--output", str(pts)])
+        assert run(["graph", "--input", str(pts), "--r", "-1",
+                    "--output", str(tmp_path / "g.json")]) == 2
+        assert "radius must be positive" in capsys.readouterr().err
+
+    def test_bad_point_row_is_config_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n0.1,0.2\n0.3,abc\n")
+        assert run(["graph", "--input", str(pts), "--r", "0.5",
+                    "--output", str(tmp_path / "g.json")]) == 2
+        assert ":3:" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_solver_simulation_writes_trace(self, tmp_path, capsys):

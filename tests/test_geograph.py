@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import shortest_path as csgraph_shortest_path
 
 from geocops import (
     Graph,
     PointSet,
+    bfs,
     bfs_distances,
     build_graph,
     degree_girth_lower_bound,
@@ -19,7 +22,7 @@ from geocops import (
     write_points_csv,
 )
 
-from oracles import brute_adjacency, brute_girth, petersen_edges
+from oracles import bfs_reference, brute_adjacency, brute_girth, petersen_edges
 
 CORNERS = PointSet(np.array([[0, 0], [1, 0], [0, 1], [1, 1]], float))
 
@@ -115,6 +118,54 @@ class TestShortestPath:
         assert shortest_path(g, 0, 3) == [0, 1, 3]
 
 
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    return Graph.from_edges(n, draw(st.lists(st.tuples(vertex, vertex), max_size=70)))
+
+
+def hashed_edge_filter(salt):
+    """A fixed pseudo-random subset of the directed edges, tested on arrays."""
+    def edge_ok(src, dst):
+        src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+        return (src * 7919 + dst * 104729 + salt) % 3 != 0
+    return edge_ok
+
+
+class TestBFS:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_loop(self, data):
+        g = data.draw(small_graphs())
+        vertex = st.integers(0, g.n - 1)
+        sources = data.draw(st.lists(vertex, max_size=4))
+        mask = data.draw(st.none() | st.lists(st.booleans(), min_size=g.n,
+                                               max_size=g.n).map(np.array))
+        salt = data.draw(st.none() | st.integers(0, 2))
+        edge_ok = None if salt is None else hashed_edge_filter(salt)
+        dist, parent = bfs(g, sources, mask, edge_ok)
+        ref_dist, ref_parent = bfs_reference(g, sources, mask, edge_ok)
+        assert dist.tolist() == ref_dist.tolist()
+        assert parent.tolist() == ref_parent.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_distances_match_csgraph(self, data):
+        g = data.draw(small_graphs())
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+        ref = csgraph_shortest_path(g.to_scipy(), unweighted=True, directed=False,
+                                    indices=sources).min(axis=0)
+        ref = np.where(np.isinf(ref), -1, ref).astype(np.int64)
+        assert bfs(g, sources)[0].tolist() == ref.tolist()
+
+    def test_sources_are_their_own_parents_and_never_masked_out(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        dist, parent = bfs(g, [1], mask=np.array([True, False, True, False]))
+        assert dist.tolist() == [1, 0, 1, -1]
+        assert parent.tolist() == [1, 1, 1, -1]
+
+
 class TestMetrics:
     def test_five_cycle(self):
         g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -179,6 +230,18 @@ class TestIO:
         path.write_text("0.25,0.5\n0.75,0.5\n")
         ps = read_points_csv(path)
         assert len(ps) == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("x,y\n0.1,0.2\n0.3,abc\n", 3),           # unparsable value
+        ("# meta\n0.1,0.2\n\n0.5\n", 4),          # one column
+        ("0.1,0.2\nx,y\n", 2),                     # a header only comes first
+        ("x,y\n0.1,0.2,0.3\n", 2),                 # three columns
+    ])
+    def test_point_csv_bad_row_raises_with_line_number(self, tmp_path, text, line):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f":{line}: "):
+            read_points_csv(path)
 
     def test_graph_json_roundtrip_geometric(self, rng, tmp_path):
         ps = PointSet(rng.random((30, 2)))

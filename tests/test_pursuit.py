@@ -1,11 +1,14 @@
 """Path control, patrol, and the nine-cop territory strategy."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from geocops import PointSet, bfs_distances, build_graph, graph_metrics, shortest_path
+from geocops import (PointSet, bfs, bfs_distances, build_graph, graph_metrics,
+                     shortest_path)
 from geocops.geometry import Segment, segments_intersect
 from geocops.strategies import (
     GreedyRobber,
@@ -21,6 +24,7 @@ from geocops.strategies import (
     run_game,
     territory,
 )
+from geocops.strategies import pathcontrol
 from geocops.strategies.pathcontrol import _PathTracker
 
 from conftest import random_connected_rgg
@@ -146,6 +150,19 @@ class TestPathControl:
             trials += 1
         assert trials >= 20
 
+    def test_tracker_runs_one_bfs_per_source_set(self, rng, monkeypatch):
+        g = random_connected_rgg(60, 0.35, rng)
+        path = far_pair_path(g)
+        calls = []
+
+        def counting_bfs(g, sources, *args, **kwargs):
+            calls.append(list(sources))
+            return bfs(g, sources, *args, **kwargs)
+
+        monkeypatch.setattr(pathcontrol, "bfs", counting_bfs)
+        _PathTracker(g, path, n_cops=3)
+        assert calls == [[path[0]], path]
+
 
 class TestPatrolTriple:
     def test_flanker_separation_rule(self):
@@ -232,6 +249,24 @@ class TestNineCop:
             assert all(b < a for a, b in zip(sets, sets[1:])), \
                 f"seed {seed}: territory did not shrink: {pol.territory_log}"
         assert captures == 25
+
+    # sha256 of the JSON [events, outcome, capture round, territory_log] of
+    # corpus games 0-9, recorded with the per-vertex BFS loops that ``bfs``
+    # replaced; the vectorized search must reproduce every choice they made
+    GOLDEN = ["3a0df367083c70e0", "a6a0ff7e6d151b25", "9afe87eed9777772",
+              "e91e63a096550b1d", "090cbf7becbe9147", "8f8c2b1bf2fca1ae",
+              "593fa76e5c0c6e34", "00ed72b91cc30d12", "5f3d0b144d2b1e6b",
+              "30c7eb2d159d211f"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_corpus_traces_match_golden_digests(self, seed):
+        g, robber, horizon = corpus_game(seed)
+        pol = nine_cop_policy(g)
+        trace = run_game(g, pol, robber, horizon, seed=seed)
+        events = [[e.round_index, e.mover, e.robber, e.cops] for e in trace.events]
+        text = json.dumps([events, trace.outcome, trace.capture_round,
+                           pol.territory_log])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.GOLDEN[seed]
 
     def test_chords_meet_patrols_only_at_terminals(self):
         # corpus seed 4 once dropped a bounding patrol after a crossing chord

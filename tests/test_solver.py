@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from geocops import (
     Graph,
@@ -15,7 +16,7 @@ from geocops import (
     nb_set,
     solve_game,
 )
-from geocops.solver import SolverBudgetError, _count_states
+from geocops.solver import COPS, SolverBudgetError, _count_states
 
 from conftest import random_er_graph, random_rgg, random_tree
 from oracles import forward_game_value, petersen_edges
@@ -175,6 +176,27 @@ class TestSolveTablePlay:
                                  max_rounds=_count_states(n, 1), seed=1)
                 assert trace.outcome == "capture"
                 assert trace.capture_round <= _count_states(n, 1)
+
+    def test_two_cop_table_play_captures_within_depth(self):
+        # the table moves a sorted cop multiset, which must be matched to the
+        # cops it moves; pairing by list position made illegal moves here
+        from geocops.strategies import SolverCops, SolverRobber, run_game
+        n = 14
+        r = 0.9 * math.sqrt(math.log(n) / n)
+        played, seed = 0, -1
+        while played < 25:
+            seed += 1
+            g = build_graph(PointSet(np.random.default_rng(seed).random((n, 2))), r)
+            if connected_components(g.to_scipy(), directed=False)[0] != 1:
+                continue
+            t = solve_game(g, 2)
+            if not t.cops_win:
+                continue
+            played += 1
+            trace = run_game(g, SolverCops(t), SolverRobber(t), 100, seed=seed)
+            depth = t.state_depth(trace.events[0].robber, trace.placement_cops, COPS)
+            assert trace.outcome == "capture", f"seed {seed}"
+            assert len(trace.events) - 1 <= depth, f"seed {seed}: half-moves past depth"
 
     def test_robber_table_survives_on_c6(self):
         from geocops.strategies import SolverCops, SolverRobber, run_game

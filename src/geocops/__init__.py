@@ -24,7 +24,6 @@ from .geograph import (
     GeometricGraph,
     Graph,
     GraphMetrics,
-    PointGridIndex,
     PointSet,
     bfs,
     bfs_distances,

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geograph import (GeometricGraph, PointGridIndex, PointSet, build_graph,
-                       girth)
+from .geograph import GeometricGraph, PointSet, _ball_points, build_graph, girth
 from .geometry import DEFAULT_TOL, Point2, polar_deg
 
 
@@ -142,7 +142,7 @@ def place_polygon(center, params: NecklaceParams) -> list[Point2]:
 
 
 def witness_check(ps: PointSet, r: float, corners, rho2: float,
-                  grid: PointGridIndex | None = None, explain: bool = False,
+                  tree: cKDTree | None = None, explain: bool = False,
                   tol: float = DEFAULT_TOL):
     """Verify the two witness conditions against a point set.
 
@@ -152,15 +152,15 @@ def witness_check(ps: PointSet, r: float, corners, rho2: float,
     explain=True returns (witness_or_None, failure_reason_or_None).
     """
     N = len(corners)
-    if grid is None:
-        grid = PointGridIndex(ps.coords, max(r, 1e-12))
+    if tree is None:
+        tree = cKDTree(ps.coords)
 
     def fail(reason):
         return (None, reason) if explain else None
 
     matched = []
     for i, c in enumerate(corners):
-        inside = grid.query_ball(c, rho2, tol)
+        inside = _ball_points(tree, c, rho2, tol=tol)
         if inside.size != 1:
             return fail(f"corner disc {i} holds {inside.size} points, wanted 1")
         matched.append(int(inside[0]))
@@ -169,13 +169,7 @@ def witness_check(ps: PointSet, r: float, corners, rho2: float,
     for i in range(N):
         a = coords[matched[(i - 1) % N]]
         b = coords[matched[(i + 1) % N]]
-        cand = grid.query_ball(a, r, tol)
-        if cand.size:
-            pts = coords[cand]
-            d2 = (pts[:, 0] - b[0]) ** 2 + (pts[:, 1] - b[1]) ** 2
-            common = cand[d2 <= (r + tol) ** 2]
-        else:
-            common = cand
+        common = _ball_points(tree, a, r, b, r, tol)
         if common.size != 1 or int(common[0]) != matched[i]:
             return fail(
                 f"lens {i} common-neighbor set {list(map(int, common))} != "
@@ -204,7 +198,7 @@ def find_witness(ps: PointSet, r: float,
     """
     if params is None:
         params = necklace_params(len(ps), r)
-    grid = PointGridIndex(ps.coords, max(r, 1e-12)) if len(ps) else None
+    tree = cKDTree(ps.coords)
     centers = witness_lattice(params)
     for y in centers:
         for x in centers:
@@ -212,9 +206,7 @@ def find_witness(ps: PointSet, r: float,
                 corners = place_polygon((float(x), float(y)), params)
             except ValueError:
                 continue
-            if grid is None:
-                continue
-            w = witness_check(ps, r, corners, params.rho2, grid=grid)
+            w = witness_check(ps, r, corners, params.rho2, tree=tree)
             if w is not None:
                 return w
     return None

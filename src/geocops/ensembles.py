@@ -19,8 +19,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geograph import PointGridIndex, PointSet, build_graph
+from .geograph import PointSet, _ball_points, build_graph
 
 log = logging.getLogger(__name__)
 
@@ -143,7 +144,7 @@ def dagger_sampled_falsifier(ps: PointSet, r: float, s: float, trials: int,
     if len(ps) == 0:
         x = tuple(rng.random(2))
         return x, x
-    grid = PointGridIndex(ps.coords, max(s, 1e-12))
+    tree = cKDTree(ps.coords)
     for _ in range(trials):
         x = rng.random(2)
         while True:
@@ -152,7 +153,7 @@ def dagger_sampled_falsifier(ps: PointSet, r: float, s: float, trials: int,
             y = (x[0] + rho * math.cos(phi), x[1] + rho * math.sin(phi))
             if 0.0 <= y[0] <= 1.0 and 0.0 <= y[1] <= 1.0:
                 break
-        cand = grid.query_ball(y, s)
+        cand = _ball_points(tree, y, s)
         if cand.size:
             pts = ps.coords[cand]
             d2 = (pts[:, 0] - x[0]) ** 2 + (pts[:, 1] - x[1]) ** 2

@@ -107,6 +107,18 @@ class TestErrors:
                     "--output", str(tmp_path / "g.json")]) == 2
         assert ":3:" in capsys.readouterr().err
 
+    def test_edges_that_disagree_with_points_are_config_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        gj = tmp_path / "g.json"
+        run(["generate", "--n", "25", "--seed", "1", "--output", str(pts)])
+        run(["graph", "--input", str(pts), "--r", "0.5", "--output", str(gj)])
+        doc = json.loads(gj.read_text())
+        doc["edges"].pop()
+        gj.write_text(json.dumps(doc))
+        assert run(["dismantle", "--input", str(gj),
+                    "--output", str(tmp_path / "dis.json")]) == 2
+        assert "stored edges" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_solver_simulation_writes_trace(self, tmp_path, capsys):

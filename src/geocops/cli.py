@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("copnumber", help="exact cop number up to --kmax")
     p.add_argument("--input", required=True)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--budget", type=int, help="solver state budget override")
+    p.add_argument("--budget", type=int, help="solver budget override, in array entries")
     p.add_argument("--export-table", action="store_true")
     common(p)
     p.set_defaults(func=cmd_copnumber)

@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: circle intersections
 come from 1-d root finding, lens areas from Monte Carlo membership counting,
 adjacency from brute-force distance matrices, girth from edge-deletion BFS,
-BFS from a plain per-vertex loop, and game values from a depth-bounded
-forward search.
+BFS from a plain per-vertex loop, game values from a depth-bounded
+forward search, and solve tables from a per-state FIFO retrograde search.
 """
 
 from __future__ import annotations
@@ -163,6 +163,63 @@ def forward_game_value(adjacency, k, max_depth):
         if all(value(rv, tuple(cops), 1, max_depth) for rv in range(n)):
             return True
     return False
+
+
+def solve_game_reference(g, k):
+    """(labels, depth) of the k-cop game by a per-state FIFO retrograde search.
+
+    States are laid out as in ``SolveTable``: index (rank*n + robber)*2 + side,
+    ranks in ``combinations_with_replacement`` order, side 0 robber to move.
+    Colocation states seed the queue at depth 0; a cops-to-move state is
+    cop-win as soon as one joint cop move (listed over the product of the
+    cops' closed neighbourhoods) reaches a cop-win state, a robber-to-move
+    state once every robber move does.
+    """
+    from collections import deque
+    from itertools import combinations_with_replacement, product
+
+    n = g.n
+    closed = [tuple(int(x) for x in g.closed_neighborhood(v)) for v in range(n)]
+    multisets = list(combinations_with_replacement(range(n), k))
+    rank_of = {t: i for i, t in enumerate(multisets)}
+    successors = [sorted({rank_of[tuple(sorted(c))] for c in product(*[closed[v] for v in cops])})
+                  for cops in multisets]
+    labels = np.zeros(len(multisets) * n * 2, dtype=bool)
+    depth = np.full(labels.size, -1, dtype=np.int32)
+    counters = {}  # (rank, robber) -> robber moves not yet known cop-win
+
+    def sid(rank, rv, side):
+        return (rank * n + rv) * 2 + side
+
+    queue = deque()
+    for rank, cops in enumerate(multisets):
+        for rv in set(cops):
+            for side in (0, 1):
+                labels[sid(rank, rv, side)] = True
+                depth[sid(rank, rv, side)] = 0
+                queue.append((rank, rv, side))
+    while queue:
+        rank, rv, side = queue.popleft()
+        d = depth[sid(rank, rv, side)]
+        if side == 0:  # predecessors: cops-to-move states one cop move earlier
+            for rank_prev in successors[rank]:
+                s = sid(rank_prev, rv, 1)
+                if not labels[s]:
+                    labels[s] = True
+                    depth[s] = d + 1
+                    queue.append((rank_prev, rv, 1))
+        else:  # predecessors: robber-to-move states one robber move earlier
+            for rv_prev in closed[rv]:
+                s = sid(rank, rv_prev, 0)
+                if labels[s]:
+                    continue
+                left = counters.get((rank, rv_prev), len(closed[rv_prev])) - 1
+                counters[(rank, rv_prev)] = left
+                if left == 0:
+                    labels[s] = True
+                    depth[s] = d + 1
+                    queue.append((rank, rv_prev, 0))
+    return labels, depth
 
 
 def segments_intersect_batch(p, q, a, b):

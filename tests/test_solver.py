@@ -1,7 +1,10 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from geocops import (
@@ -16,10 +19,10 @@ from geocops import (
     nb_set,
     solve_game,
 )
-from geocops.solver import COPS, SolverBudgetError, _count_states
+from geocops.solver import COPS, SolverBudgetError, _count_states, _working_set
 
 from conftest import random_er_graph, random_rgg, random_tree
-from oracles import forward_game_value, petersen_edges
+from oracles import forward_game_value, petersen_edges, solve_game_reference
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -111,6 +114,27 @@ class TestSolveGame:
         with pytest.raises(SolverBudgetError):
             solve_game(g, 2, budget=100)
 
+    def test_budget_counts_ordered_cop_tuples(self):
+        # at k=3 the n^4 ordered cop tuples outnumber the multiset states
+        # nearly threefold; a budget one entry short must refuse before allocating
+        n, k = 100, 3
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        need = _working_set(n, k)
+        assert need == _count_states(n, k) + n ** (k + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SolverBudgetError) as err:
+                solve_game(g, k, budget=need - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.states == need
+        assert peak < 1 << 20
+
+    def test_budget_admits_exact_working_set(self):
+        g = Graph.from_edges(9, [(i, i + 1) for i in range(8)])
+        assert solve_game(g, 3, budget=_working_set(9, 3)).cops_win
+
     def test_disconnected_needs_cop_per_component(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert not solve_game(g, 1).cops_win
@@ -129,6 +153,73 @@ class TestSolveGame:
                 assert solve_game(g, 2).cops_win
         g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         assert solve_game(g, 2).cops_win and solve_game(g, 3).cops_win
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    return Graph.from_edges(n, draw(st.lists(st.tuples(vertex, vertex), max_size=30)))
+
+
+def golden_graph(name):
+    """Graph of one golden solve, from its name."""
+    if name == "P5":
+        return Graph.from_edges(5, [(i, i + 1) for i in range(4)])
+    if name == "C6":
+        return Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    if name == "petersen":
+        return Graph.from_edges(10, petersen_edges())
+    n, c, seed = {"rgg200": (200, 2.0, 7), "rgg50": (50, 0.8, 8), "rgg20": (20, 0.8, 9)}[name]
+    r = c * math.sqrt(math.log(n) / n)
+    return build_graph(PointSet(np.random.default_rng(seed).random((n, 2))), r)
+
+
+# (graph, k, cops_win, max depth, sha1 of labels then depth bytes), recorded
+# with the per-state deque solver that the array-wide levels replaced
+GOLDEN_TABLES = [
+    ("rgg200", 1, True, 12, "c1c3de9cab0883501dc6aeaf5fbedd67a15ae2eb"),
+    ("rgg50", 1, False, 17, "03a3cd0164b3e0e7e7be13cd318f31fcb2218c79"),
+    ("rgg50", 2, False, 17, "c6c8b7e7952141d1eac08f888d6433bcfa55cfcf"),
+    ("rgg20", 1, False, 8, "80b4c1f573f1d3ec05ac433f7617f6a7c7928b2e"),
+    ("rgg20", 2, False, 8, "c3510599a272f16f609d79a6c0b62550ded3a3b8"),
+    ("rgg20", 3, True, 8, "204b89cf5c004cb0d00007e0a95a9ed81f90bdb2"),
+    ("P5", 1, True, 8, "a0f47bd64a69a3885d9b70b1beea754ca31f343c"),
+    ("P5", 2, True, 8, "cc3ca1130efde2f4b31129d2cf31a78289a4cbb2"),
+    ("P5", 3, True, 8, "395b68f59fa32aa19634e6b836bdf6db22f46166"),
+    ("C6", 1, False, 1, "99ff7b1986a42d49586414e3faebe49100b47c60"),
+    ("C6", 2, True, 6, "f68c3fd160f250f80aa5f76d218a7c82080b1489"),
+    ("C6", 3, True, 6, "a073e334c4860ff84b3054d5d5a4ff83962740d8"),
+    ("petersen", 1, False, 1, "cbcad3918070f0a2e2432d56e2236af10eded487"),
+    ("petersen", 2, False, 1, "646230f6c27752bac6cba8d0a3065bd66231ce09"),
+    ("petersen", 3, True, 4, "10a052c3aa080aa6f49102c183c56b6aa8cfe2e7"),
+]
+
+
+class TestSolveTableArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), k=st.integers(1, 3))
+    @example(g=Graph.from_edges(1, []), k=1)
+    @example(g=Graph.from_edges(1, []), k=3)
+    @example(g=Graph.from_edges(7, [(i, i + 1) for i in range(6)]), k=1)
+    @example(g=Graph.from_edges(7, [(i, i + 1) for i in range(6)]), k=2)
+    @example(g=Graph.from_edges(8, [(0, 1), (1, 2), (2, 0), (4, 5)]), k=2)
+    @example(g=Graph.from_edges(6, []), k=3)
+    def test_matches_reference_solver(self, g, k):
+        table = solve_game(g, k)
+        labels, depth = solve_game_reference(g, k)
+        assert table.labels.tobytes() == labels.tobytes()
+        assert table.depth.tobytes() == depth.tobytes()
+
+    @pytest.mark.parametrize("name, k, cops_win, max_depth, sha1", GOLDEN_TABLES,
+                             ids=[f"{c[0]}-k{c[1]}" for c in GOLDEN_TABLES])
+    def test_matches_golden_digest(self, name, k, cops_win, max_depth, sha1):
+        table = solve_game(golden_graph(name), k)
+        assert table.cops_win is cops_win
+        assert int(table.depth.max()) == max_depth
+        h = hashlib.sha1(table.labels.tobytes())
+        h.update(table.depth.tobytes())
+        assert h.hexdigest() == sha1
 
 
 class TestTheorem1Equivalence:
